@@ -45,7 +45,6 @@ from repro.core.clusters import (
 from repro.core.config import SimConfig
 from repro.core.memsched import MemoryScheduler
 from repro.core.rename import RenameUnit, RetireUnit
-from repro.core.replay import ReplayController
 from repro.core.results import SimResult
 from repro.core.stages.base import (
     InstrSlot,
@@ -147,16 +146,10 @@ class Engine:
                         extra_is_tc_miss=self.trace_cache is not None),
             FillStage(self.fill_unit, registry_arg),
         ]
-        #: the canonical stage tuple the replay controller's
-        #: eligibility check compares against (appended observer
-        #: stages must see every per-instruction transition, so their
-        #: presence forces the slow path).
-        self._core_stages: Tuple[PipelineStage, ...] = tuple(self.stages)
-        #: segment-level timing replay (macro-simulation); None when
-        #: disabled or without a trace cache to anchor memo keys on.
-        self.replay: Optional[ReplayController] = None
-        if config.timing_memo and self.trace_cache is not None:
-            self.replay = ReplayController(self)
+        #: always None; kept because external instrumentation probes
+        #: ``engine.replay`` and skips ``None`` (docs/architecture.md
+        #: §3).
+        self.replay: None = None
         #: program image the TRRIP hints were last derived from
         #: (identity-compared so repeated runs skip the CFG walk).
         self._hint_source: Optional[Any] = None
@@ -234,9 +227,6 @@ class Engine:
             wrong_path=wrong_path)
 
         stages = self.stages
-        replay = self.replay
-        if replay is not None and not replay.run_eligible(state):
-            replay = None
         for stage in stages:
             stage.begin_run(state)
         while state.index < state.n:
@@ -247,9 +237,6 @@ class Engine:
             if not group.entries:   # defensive; not seen on real traces
                 state.index += 1
                 continue
-            if replay is not None and replay.on_group(state):
-                state.index += group.consumed
-                continue
             retire_cycles = state.retire_cycles
             for entry in group.entries:
                 slot = InstrSlot(entry=entry, seq=len(retire_cycles))
@@ -257,12 +244,8 @@ class Engine:
                     stage.process(state, slot)
             for stage in stages:
                 stage.end_group(state)
-            if replay is not None:
-                replay.after_group(state)
             state.index += group.consumed
 
-        if replay is not None:
-            replay.finish_run()
         result.cycles = state.retire_cycles[-1]
         if wrong_path is not None:
             result.wrong_path_fetches = wrong_path.instructions

@@ -62,10 +62,9 @@ class FetchStage(PipelineStage):
 
     def begin_group(self, state: MachineState) -> None:
         requested = state.fetch_ready
-        entries, fetch_cycle, segment = self._fetch_group(
+        entries, fetch_cycle = self._fetch_group(
             state.records, state.index, state.fetch_ready)
-        group = FetchGroup(entries=entries, fetch_cycle=fetch_cycle,
-                           segment=segment)
+        group = FetchGroup(entries=entries, fetch_cycle=fetch_cycle)
         state.group = group
         if not entries:     # defensive; cannot happen on real traces
             return
@@ -114,12 +113,11 @@ class FetchStage(PipelineStage):
     # ------------------------------------------------------------------
 
     def _fetch_group(self, records: List[Any], start: int, cycle: int
-                     ) -> Tuple[List[FetchEntry], int, Optional[Any]]:
+                     ) -> Tuple[List[FetchEntry], int]:
         """Assemble one fetch group starting at stream index *start*.
 
-        Returns ``(entries, fetch_cycle, segment)``; ``len(entries)``
-        stream records were consumed, and *segment* is the trace-cache
-        segment the group came from (None on the I-cache path).
+        Returns ``(entries, fetch_cycle)``; ``len(entries)`` stream
+        records were consumed.
         """
         pc = records[start].pc
         if self.trace_cache is not None:
@@ -132,15 +130,12 @@ class FetchStage(PipelineStage):
                 # memory round trip for code that streams through the
                 # TC every cycle.
                 self.hierarchy.l1i.fill(pc)
-                entries, fetch_cycle = self._fetch_from_segment(
-                    segment, records, start, cycle)
-                return entries, fetch_cycle, segment
+                return self._fetch_from_segment(segment, records,
+                                                start, cycle)
             assert self.fill_unit is not None
             self.fill_unit.note_fetch_miss(pc)
             self.events.emit(FETCH_MISFETCH, cycle, pc=pc)
-        entries, fetch_cycle = self._fetch_from_icache(records, start,
-                                                       cycle)
-        return entries, fetch_cycle, None
+        return self._fetch_from_icache(records, start, cycle)
 
     def _path_chooser(self, segment: Any) -> int:
         """Way-selection score for path-associative lookup.

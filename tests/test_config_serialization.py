@@ -58,11 +58,6 @@ def _non_default_config() -> SimConfig:
             reassoc_cross_flow_only=False, max_scale_shift=2),
         verify_fill=True,
         verify_each_pass=True,
-        timing_memo=False,
-        memo_capacity=512,
-        replay_shadow_every=3,
-        memo_breakeven=0.25,
-        memo_breakeven_window=256,
     )
 
 
@@ -107,10 +102,13 @@ def test_defaults_round_trip():
 
 
 def test_unknown_top_level_key_rejected():
-    payload = SimConfig().to_dict()
-    payload["fetch_widht"] = 32
-    with pytest.raises(ConfigError, match="fetch_widht"):
-        SimConfig.from_dict(payload)
+    # A typo, and a knob of the removed segment timing memo: a sweep
+    # declaration that still sets it must fail, not silently run.
+    for key in ("fetch_widht", "timing_memo"):
+        payload = SimConfig().to_dict()
+        payload[key] = 32
+        with pytest.raises(ConfigError, match=key):
+            SimConfig.from_dict(payload)
 
 
 def test_unknown_nested_key_rejected():
@@ -146,10 +144,3 @@ def test_unknown_policy_rejected():
     payload["hierarchy"]["policy"] = "clock"
     with pytest.raises(ConfigError, match="replacement policy"):
         SimConfig.from_dict(payload)
-
-
-def test_breakeven_knobs_validated():
-    with pytest.raises(ConfigError, match="memo_breakeven"):
-        SimConfig(memo_breakeven=1.0)
-    with pytest.raises(ConfigError, match="memo_breakeven_window"):
-        SimConfig(memo_breakeven_window=-1)
