@@ -25,6 +25,16 @@ _NESTED_TYPES = {
     "optimizations": OptimizationConfig,
 }
 
+#: (field, least legal value) of the machine's widths, counts and
+#: delays, checked before the cross-field constraints.
+_LOWER_BOUNDS = (
+    ("fetch_width", 1), ("issue_width", 1), ("retire_width", 1),
+    ("max_blocks_per_cycle", 1), ("ic_fetch_width", 1),
+    ("num_clusters", 1), ("cluster_size", 1), ("rs_per_fu", 1),
+    ("cross_cluster_penalty", 0), ("mispredict_redirect", 0),
+    ("store_forward_window", 0),
+)
+
 
 @dataclass
 class SimConfig:
@@ -79,6 +89,14 @@ class SimConfig:
     verify_each_pass: bool = False
 
     def __post_init__(self) -> None:
+        # A zero width or count would hang the rename loop, index an
+        # empty structure or silently act as 1; a negative delay would
+        # run time backwards.
+        for name, least in _LOWER_BOUNDS:
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(
+                    f"{name} must be at least {least}, got {value}")
         if self.num_clusters * self.cluster_size > self.fetch_width:
             raise ConfigError(
                 "more functional units than issue slots: "

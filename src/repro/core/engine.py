@@ -227,6 +227,10 @@ class Engine:
             wrong_path=wrong_path)
 
         stages = self.stages
+        # Bound once per run: instrumentation may have replaced the
+        # stage objects since construction, never during a run.
+        processes = [stage.process for stage in stages]
+        retire_cycles = state.retire_cycles
         for stage in stages:
             stage.begin_run(state)
         while state.index < state.n:
@@ -237,11 +241,10 @@ class Engine:
             if not group.entries:   # defensive; not seen on real traces
                 state.index += 1
                 continue
-            retire_cycles = state.retire_cycles
             for entry in group.entries:
-                slot = InstrSlot(entry=entry, seq=len(retire_cycles))
-                for stage in stages:
-                    stage.process(state, slot)
+                slot = InstrSlot(entry, len(retire_cycles))
+                for process in processes:
+                    process(state, slot)
             for stage in stages:
                 stage.end_group(state)
             state.index += group.consumed

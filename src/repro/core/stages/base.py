@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.results import SimResult
+from repro.isa.decode import DecodeRecord
 from repro.telemetry.registry import TelemetryRegistry
 
 
@@ -36,6 +37,9 @@ class FetchEntry:
 
     record: Any             # CommittedInstr (None for phantoms)
     instr: Any              # possibly the TC's transformed copy
+    #: ``instr``'s :class:`~repro.isa.decode.DecodeRecord`: the only
+    #: view of the instruction the per-instruction stages read
+    decoded: DecodeRecord
     slot: int               # issue slot -> functional unit
     from_tc: bool
     mispredicted: bool = False
@@ -76,28 +80,38 @@ class FetchGroup:
     consumed: int = 0
 
 
-@dataclass
 class InstrSlot:
-    """One instruction's trip through the per-instruction stages."""
+    """One instruction's trip through the per-instruction stages.
 
-    entry: FetchEntry
-    #: committed-stream sequence number at entry (== retired count)
-    seq: int
-    is_branch: bool = False
-    renamed: int = 0
-    #: set once a stage has produced the completion cycle (rename for
-    #: marked moves, issue for NOPs, execute for everything else)
-    executed: bool = False
-    complete: int = 0
-    #: last-arriving source paid the cross-cluster bypass penalty
-    penalized: bool = False
-    #: executing cluster (issue stage; slot-wired)
-    cluster: int = 0
-    #: FU issue cycle (issue stage)
-    exec_start: int = 0
-    #: store-data readiness, joins in the store queue (issue stage)
-    data_ready: int = 0
-    retire_cycle: int = 0
+    Slotted by hand (one is built per instruction, and
+    ``dataclass(slots=True)`` needs Python 3.10). Every field but
+    ``entry`` and ``seq`` starts at zero and is filled in by a stage.
+    """
+
+    __slots__ = ("entry", "seq", "is_branch", "renamed", "executed",
+                 "complete", "penalized", "cluster", "exec_start",
+                 "data_ready", "retire_cycle")
+
+    def __init__(self, entry: FetchEntry, seq: int) -> None:
+        self.entry = entry
+        #: committed-stream sequence number at entry (== retired count)
+        self.seq = seq
+        self.is_branch = False
+        self.renamed = 0
+        #: set once a stage has produced the completion cycle (rename
+        #: for marked moves, issue for NOPs, execute for everything
+        #: else)
+        self.executed = False
+        self.complete = 0
+        #: last-arriving source paid the cross-cluster bypass penalty
+        self.penalized = False
+        #: executing cluster (issue stage; slot-wired)
+        self.cluster = 0
+        #: FU issue cycle (issue stage)
+        self.exec_start = 0
+        #: store-data readiness, joins in the store queue (issue stage)
+        self.data_ready = 0
+        self.retire_cycle = 0
 
 
 @dataclass

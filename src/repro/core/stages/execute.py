@@ -23,7 +23,6 @@ from repro.core.stages.base import (
     MetricBlock,
     PipelineStage,
 )
-from repro.isa.opcodes import OpClass
 from repro.telemetry.registry import TelemetryRegistry
 
 _SCOPES = {
@@ -45,19 +44,18 @@ class ExecuteStage(PipelineStage):
     def process(self, state: MachineState, slot: InstrSlot) -> None:
         entry = slot.entry
         if not slot.executed:
-            instr = entry.instr
-            opclass = instr.opclass
-            if opclass is OpClass.LOAD:
+            decoded = entry.decoded
+            if decoded.load:
                 agen_done = slot.exec_start + 1
                 complete = self.memsched.load_timing(
                     entry.record.mem_addr, agen_done)
-            elif opclass is OpClass.STORE:
+            elif decoded.store:
                 agen_done = slot.exec_start + 1
                 complete = self.memsched.store_timing(
                     entry.record.mem_addr, agen_done, slot.data_ready)
             else:
-                complete = slot.exec_start + instr.info.latency
-            dest = instr.dest()
+                complete = slot.exec_start + decoded.latency
+            dest = decoded.dest
             if dest is not None:
                 state.reg_ready[dest] = (complete, slot.cluster)
             slot.complete = complete

@@ -152,8 +152,7 @@ class FetchStage(PipelineStage):
                 agree = int(self.predictor.predict_cond(info.pc, 0)
                             == info.direction)
                 break
-        if agree and any(instr.guard is not None
-                         for instr in segment.instrs):
+        if agree and segment.guarded:
             return 2
         return agree
 
@@ -163,11 +162,14 @@ class FetchStage(PipelineStage):
         """Consume the leading portion of *segment* that matches the
         actual path; all of it issues this cycle (inactive issue)."""
         entries: List[FetchEntry] = []
-        branch_at = {b.index: b for b in segment.branches}
+        branch_at = segment.branch_at
+        slots = segment.slots
+        predictor = self.predictor
         position = 0        # unpromoted-branch predictor slot
         consumed = 0
         n = len(records)
-        for logical, instr in enumerate(segment.instrs):
+        for logical, (instr, decoded) in enumerate(
+                zip(segment.instrs, segment.decoded)):
             stream_idx = start + consumed
             if stream_idx >= n:
                 break
@@ -178,27 +180,26 @@ class FetchStage(PipelineStage):
                     # it still issues (guard false, old value kept) but
                     # consumes no committed record.
                     entries.append(FetchEntry(
-                        None, instr, segment.slots[logical],
+                        None, instr, decoded, slots[logical],
                         from_tc=True, phantom=True))
                     continue
                 break       # segment path diverges from the actual path
-            entry = FetchEntry(record, instr, segment.slots[logical],
+            entry = FetchEntry(record, instr, decoded, slots[logical],
                                from_tc=True)
             entries.append(entry)
             consumed += 1
-            if instr.is_cond_branch():
+            if decoded.cond_branch:
                 info = branch_at.get(logical)
                 if info is not None and info.promoted:
                     entry.promoted = True
                     predicted = info.direction
                 else:
-                    predicted = self.predictor.predict_cond(record.pc,
-                                                            position)
-                    self.predictor.update_cond(record.pc, position,
-                                               record.taken)
+                    predicted = predictor.predict_cond(record.pc, position)
+                    predictor.update_cond(record.pc, position,
+                                          record.taken)
                     position += 1
                 entry.mispredicted = predicted != record.taken
-            else:
+            elif decoded.ctrl:
                 self._handle_unconditional(entry)
         return entries, cycle
 
@@ -216,18 +217,20 @@ class FetchStage(PipelineStage):
                and start + len(entries) < n):
             record = records[start + len(entries)]
             instr = record.instr
+            decoded = instr.decoded
             if entries:
                 prev = entries[-1].record
                 if record.pc != prev.pc + 4:
                     break   # previous instruction transferred control
                 if record.pc & self._ic_line_mask != line:
                     break   # crossed the cache line
-            if instr.is_cond_branch() and cond_count >= \
+            if decoded.cond_branch and cond_count >= \
                     self.predictor.max_dynamic_branches:
                 break
-            entry = FetchEntry(record, instr, len(entries), from_tc=False)
+            entry = FetchEntry(record, instr, decoded, len(entries),
+                               from_tc=False)
             entries.append(entry)
-            if instr.is_cond_branch():
+            if decoded.cond_branch:
                 predicted = self.predictor.predict_cond(record.pc,
                                                         cond_count)
                 self.predictor.update_cond(record.pc, cond_count,
@@ -239,22 +242,23 @@ class FetchStage(PipelineStage):
                 if record.taken:
                     break   # fetch ends at a taken branch
             else:
-                self._handle_unconditional(entry)
+                if decoded.ctrl:
+                    self._handle_unconditional(entry)
                 if record.next_pc != record.pc + 4:
                     break   # taken jump/call/return ends the group
-            if instr.is_serializing():
+            if decoded.serializing:
                 break
         return entries, fetch_cycle
 
     def _handle_unconditional(self, entry: FetchEntry) -> None:
         """RAS/BTB maintenance and indirect-target checking."""
-        instr = entry.instr
+        decoded = entry.decoded
         record = entry.record
-        if instr.is_call():
+        if decoded.call:
             self.predictor.note_call(record.pc + 4)
-        if instr.is_indirect() or instr.is_return():
+        if decoded.indirect or decoded.returns:
             predicted = self.predictor.predict_indirect(
-                record.pc, instr.is_return())
+                record.pc, decoded.returns)
             if predicted != record.next_pc:
                 entry.mispredicted = True
             self.predictor.train_indirect(record.pc, record.next_pc)

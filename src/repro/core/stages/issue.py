@@ -13,7 +13,7 @@ they complete here at their rename cycle.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional
 
 from repro.core.config import SimConfig
 from repro.core.results import SimResult
@@ -23,7 +23,6 @@ from repro.core.stages.base import (
     MetricBlock,
     PipelineStage,
 )
-from repro.isa.opcodes import OpClass
 from repro.telemetry.registry import TelemetryRegistry
 
 _SCOPES = {
@@ -49,8 +48,8 @@ class IssueStage(PipelineStage):
     def process(self, state: MachineState, slot: InstrSlot) -> None:
         if slot.executed:
             return              # completed in rename (marked move)
-        instr = slot.entry.instr
-        if instr.opclass is OpClass.NOP:
+        decoded = slot.entry.decoded
+        if decoded.nop:
             slot.complete = slot.renamed
             slot.penalized = False
             slot.executed = True
@@ -58,50 +57,40 @@ class IssueStage(PipelineStage):
         fu = slot.entry.slot
         cluster = fu // self.cluster_size
         slot.cluster = cluster
-        bypass = self.bypass
-
-        is_store = instr.is_store()
-        roles: List[Tuple[int, str]]
-        if instr.is_mem():
-            addr_regs, value_reg = instr.mem_split()
-            roles = [(reg, "addr") for reg in addr_regs]
-            if value_reg is not None:
-                roles.append((value_reg, "data"))
-        else:
-            roles = [(reg, "addr") for reg in instr.sources()]
-
-        dispatch_ready = 0      # all operands (last-arriving source)
-        agen_ready = 0          # address operands only (store AGEN)
-        data_ready = 0          # store-data path, joins in store queue
-        last_penalized = False
-        saw_source = False
+        effective_ready = self.bypass.effective_ready
         reg_ready = state.reg_ready
-        for reg, role in roles:
-            if reg == 0:
-                continue
+
+        # The last-arriving source sets dispatch; it was penalized if
+        # any source arriving at that cycle paid the bypass penalty.
+        dispatch_ready = 0      # all operands (last-arriving source)
+        last_penalized = False
+        for reg in decoded.addr_sources:
             ready, producer_cluster = reg_ready[reg]
-            effective = bypass.effective_ready(ready, producer_cluster,
-                                               cluster)
-            penalized = effective != ready
-            saw_source = True
-            if role == "data":
-                if effective > data_ready:
-                    data_ready = effective
-            elif effective > agen_ready:
-                agen_ready = effective
+            effective = effective_ready(ready, producer_cluster, cluster)
             if effective > dispatch_ready:
                 dispatch_ready = effective
-                last_penalized = penalized
-            elif effective == dispatch_ready and penalized:
+                last_penalized = effective != ready
+            elif effective == dispatch_ready and effective != ready:
                 last_penalized = True
-        if saw_source:
+        agen_ready = dispatch_ready     # address operands only (AGEN)
+        data_ready = 0          # store-data path, joins in store queue
+        data_reg = decoded.data_source
+        if data_reg is not None:
+            ready, producer_cluster = reg_ready[data_reg]
+            data_ready = effective_ready(ready, producer_cluster, cluster)
+            if data_ready > dispatch_ready:
+                dispatch_ready = data_ready
+                last_penalized = data_ready != ready
+            elif data_ready == dispatch_ready and data_ready != ready:
+                last_penalized = True
+        if decoded.addr_sources or data_reg is not None:
             self._m.exec_with_sources.add()
             if last_penalized:
                 self._m.bypass_delayed.add()
 
         rs_free = self.rs.admit(fu, slot.renamed)
         earliest = max(slot.renamed + 1,
-                       agen_ready if is_store else dispatch_ready,
+                       agen_ready if decoded.store else dispatch_ready,
                        rs_free)
         exec_start = self.fus.reserve(fu, earliest)
         self.rs.occupy(fu, exec_start)

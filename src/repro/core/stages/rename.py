@@ -19,6 +19,7 @@ from repro.core.stages.base import (
     MetricBlock,
     PipelineStage,
 )
+from repro.isa.decode import DecodeRecord
 from repro.telemetry.events import CHECKPOINT_REPAIR
 from repro.telemetry.registry import TelemetryRegistry
 
@@ -46,14 +47,14 @@ class RenameStage(PipelineStage):
     def process(self, state: MachineState, slot: InstrSlot) -> None:
         entry = slot.entry
         record = entry.record
-        instr = entry.instr
+        decoded = entry.decoded
         group = state.group
         assert group is not None
         fetch_cycle = group.fetch_cycle
         seq = slot.seq
         window_release = (state.retire_cycles[seq - self.window]
                           if seq >= self.window else 0)
-        is_branch = bool(instr.is_cond_branch())
+        is_branch = decoded.cond_branch
         slot.is_branch = is_branch
         checkpoint_free = (self.checkpoints.acquire(fetch_cycle + 1)
                            if is_branch else 0)
@@ -68,14 +69,14 @@ class RenameStage(PipelineStage):
         if entry.phantom:
             # Phantoms issue and execute downstream; nothing more here.
             return
-        if instr.move_flag:
-            slot.complete = self._execute_move(instr, slot.renamed,
+        if entry.instr.move_flag:
+            slot.complete = self._execute_move(decoded, slot.renamed,
                                                state.reg_ready)
             slot.penalized = False
             slot.executed = True
             self._m.moves_eliminated.add()
 
-    def _execute_move(self, instr: Any, renamed: int,
+    def _execute_move(self, decoded: DecodeRecord, renamed: int,
                       reg_ready: List[Tuple[int, Optional[int]]]) -> int:
         """A marked register move: completed by the rename logic.
 
@@ -83,12 +84,12 @@ class RenameStage(PipelineStage):
         time, same producing cluster — and no functional unit or
         reservation station is consumed.
         """
-        sources = instr.sources()
+        sources = decoded.sources
         if sources and sources[0] != 0:
             ready = reg_ready[sources[0]]
         else:
             ready = (0, None)
-        dest = instr.dest()
+        dest = decoded.dest
         if dest is not None:
             reg_ready[dest] = ready
         return max(renamed, ready[0])

@@ -57,7 +57,7 @@ class RetireStage(PipelineStage):
         group = state.group
         assert group is not None
         record = entry.record
-        instr = entry.instr
+        decoded = entry.decoded
         m = self._m
 
         retire_cycle = self.retire_unit.retire(slot.complete)
@@ -78,7 +78,7 @@ class RetireStage(PipelineStage):
             group.fetch_extra = 0
         if state.want_payload:
             payload = dict(
-                seq=slot.seq, pc=record.pc, op=instr.op.value,
+                seq=slot.seq, pc=record.pc, op=entry.instr.op.value,
                 fetch=group.fetch_cycle, rename=slot.renamed,
                 complete=slot.complete, retire=retire_cycle,
                 slot=entry.slot, from_tc=entry.from_tc,
@@ -88,14 +88,17 @@ class RetireStage(PipelineStage):
             if state.emit_retired:
                 self.events.emit(INSTR_RETIRED, retire_cycle, **payload)
 
-        arch_instr = record.instr
-        if arch_instr.is_cond_branch():
+        # The architected instruction's record: a trace-cache entry's
+        # own may describe a rewritten copy (e.g. a branch predicated
+        # away as a NOP).
+        arch_cond_branch = record.instr.decoded.cond_branch
+        if arch_cond_branch:
             m.cond_branches.add()
             # The bias table keeps learning from the architected
             # branch even when the segment carries it predicated
             # away (as a NOP).
             self.predictor.record_outcome(record.pc, record.taken)
-            if instr.guard is None and not instr.is_cond_branch():
+            if entry.instr.guard is None and not decoded.cond_branch:
                 m.predicated_branches.add()
             if entry.promoted:
                 m.promoted_fetches.add()
@@ -120,12 +123,11 @@ class RetireStage(PipelineStage):
             if resume > group.next_fetch:
                 group.recovery_bump += resume - group.next_fetch
                 group.next_fetch = resume
-            if state.wrong_path is not None \
-                    and arch_instr.is_cond_branch():
+            if state.wrong_path is not None and arch_cond_branch:
                 state.wrong_path.pollute(
                     state.wrong_path.wrong_target(record),
                     max(0, slot.complete - group.fetch_cycle))
-        if instr.is_serializing():
+        if decoded.serializing:
             group.serialize_after = retire_cycle
 
     def finish_run(self, state: Optional[MachineState],

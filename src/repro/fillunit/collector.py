@@ -39,6 +39,8 @@ class PendingSegment:
     block_ids: list = field(default_factory=list)
     flow_ids: list = field(default_factory=list)
     block_count: int = 1
+    #: running count of the unpromoted entries of ``branches``
+    unpromoted: int = 0
 
     @property
     def start_pc(self) -> int:
@@ -103,8 +105,8 @@ class FillCollector:
         if not self.trace_packing and len(self._block):
             fits = (len(self._pending) + len(self._block)
                     <= self.max_instrs
-                    and (self._pending_unpromoted()
-                         + self._block_unpromoted())
+                    and (self._pending.unpromoted
+                         + self._block.unpromoted)
                     <= self.max_cond_branches)
             if not fits and len(self._pending):
                 out.append(self._finalize())
@@ -117,20 +119,20 @@ class FillCollector:
     # -- packed mode -----------------------------------------------------
 
     def _add_packed(self, record) -> list:
-        instr = record.instr
+        decoded = record.instr.decoded
         out = []
         if len(self._pending) and record.pc in self._miss_points:
             # Align a fresh segment to an outstanding fetch-miss point.
             del self._miss_points[record.pc]
             out.append(self._finalize())
         promoted = False
-        if instr.is_cond_branch():
+        if decoded.cond_branch:
             promoted = self.bias.is_promoted(record.pc)
             if (not promoted
-                    and self._pending_unpromoted() >= self.max_cond_branches):
+                    and self._pending.unpromoted >= self.max_cond_branches):
                 out.append(self._finalize())
-        self._append(self._pending, record, promoted)
-        if (instr.terminates_segment()
+        self._append(self._pending, record, decoded, promoted)
+        if (decoded.terminates
                 or len(self._pending) >= self.max_instrs):
             out.append(self._finalize())
         return out
@@ -138,41 +140,42 @@ class FillCollector:
     # -- block-granular mode ----------------------------------------------
 
     def _add_block_granular(self, record) -> list:
-        instr = record.instr
-        promoted = (instr.is_cond_branch()
+        decoded = record.instr.decoded
+        promoted = (decoded.cond_branch
                     and self.bias.is_promoted(record.pc))
-        self._append(self._block, record, promoted)
-        block_done = (instr.is_ctrl() or instr.terminates_segment()
+        self._append(self._block, record, decoded, promoted)
+        block_done = (decoded.ctrl or decoded.terminates
                       or len(self._block) >= self.max_instrs)
         if not block_done:
             return []
         out = []
         fits = (len(self._pending) + len(self._block) <= self.max_instrs
-                and (self._pending_unpromoted()
-                     + self._block_unpromoted()) <= self.max_cond_branches)
+                and (self._pending.unpromoted
+                     + self._block.unpromoted) <= self.max_cond_branches)
         if not fits and len(self._pending):
             out.append(self._finalize())
         self._append_block_to_pending()
-        terminal = self._pending.records[-1].instr.terminates_segment()
+        terminal = self._pending.records[-1].instr.decoded.terminates
         if terminal or len(self._pending) >= self.max_instrs:
             out.append(self._finalize())
         return out
 
     # ------------------------------------------------------------------
 
-    def _append(self, target: PendingSegment, record,
+    def _append(self, target: PendingSegment, record, decoded,
                 promoted: bool) -> None:
-        instr = record.instr
         index = len(target.records)
         target.records.append(record)
         target.block_ids.append(self._block_id)
         target.flow_ids.append(self._flow_id)
-        if instr.is_cond_branch():
+        if decoded.cond_branch:
             target.branches.append(
                 PendingBranch(index, record.pc, record.taken, promoted))
+            if not promoted:
+                target.unpromoted += 1
             self._block_id += 1
             self._flow_id += 1
-        elif instr.is_ctrl():
+        elif decoded.ctrl:
             self._flow_id += 1
 
     def _append_block_to_pending(self) -> None:
@@ -184,13 +187,8 @@ class FillCollector:
             self._pending.branches.append(PendingBranch(
                 branch.index + base, branch.pc, branch.direction,
                 branch.promoted))
+        self._pending.unpromoted += self._block.unpromoted
         self._block = PendingSegment()
-
-    def _pending_unpromoted(self) -> int:
-        return sum(1 for b in self._pending.branches if not b.promoted)
-
-    def _block_unpromoted(self) -> int:
-        return sum(1 for b in self._block.branches if not b.promoted)
 
     def _finalize(self) -> PendingSegment:
         candidate = self._pending

@@ -14,8 +14,10 @@ information needed by the memory scheduler).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Tuple
 
+from repro.isa.decode import DecodeRecord, decode
 from repro.isa.opcodes import Format, Op, OpClass, OpInfo, op_info
 from repro.isa.registers import ZERO_REG
 
@@ -84,8 +86,18 @@ class Instruction:
 
     def copy(self) -> "Instruction":
         """Return an independent copy (used by the fill unit, which must
-        never mutate the architected program image)."""
+        never mutate the architected program image). The copy carries
+        no cached :attr:`decoded` record."""
         return replace(self)
+
+    @cached_property
+    def decoded(self) -> DecodeRecord:
+        """The timing model's predecode of this instruction, built on
+        first read and cached on the instance (not a field: ``copy()``
+        and ``==`` ignore it). Only the timing model reads it; code
+        that mutates an instruction must do so before that first read.
+        """
+        return decode(self)
 
     # ------------------------------------------------------------------
     # Structural queries

@@ -20,9 +20,12 @@ retained for the memory scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SegmentError
+from repro.isa.decode import DecodeRecord
+
 
 @dataclass
 class BranchInfo:
@@ -75,6 +78,26 @@ class TraceSegment:
             fill_cycle=self.fill_cycle,
             deps=None,
             build_promo=self.build_promo)
+
+    # -- fetch-time predecode ------------------------------------------
+    # Built on the timing model's first fetch of the segment, once the
+    # fill unit has finished rewriting it, and cached on the instance
+    # (not fields: clone() and the passes never see them).
+
+    @cached_property
+    def decoded(self) -> Tuple[DecodeRecord, ...]:
+        """Each instruction's decode record, in logical order."""
+        return tuple(instr.decoded for instr in self.instrs)
+
+    @cached_property
+    def branch_at(self) -> Dict[int, BranchInfo]:
+        """Branch records keyed by logical position."""
+        return {info.index: info for info in self.branches}
+
+    @cached_property
+    def guarded(self) -> bool:
+        """The segment holds a predicated (guarded) instruction."""
+        return any(instr.guard is not None for instr in self.instrs)
 
     @property
     def path_key(self) -> Tuple[int, ...]:

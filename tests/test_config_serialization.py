@@ -125,6 +125,37 @@ def test_invalid_values_still_validated():
         SimConfig.from_dict(payload)
 
 
+#: (field, first illegal value): widths and counts must be >= 1,
+#: delays >= 0.
+DEGENERATE = [
+    ("fetch_width", 0), ("issue_width", 0), ("retire_width", 0),
+    ("max_blocks_per_cycle", 0), ("ic_fetch_width", 0),
+    ("num_clusters", 0), ("cluster_size", 0), ("rs_per_fu", 0),
+    ("cross_cluster_penalty", -1), ("mispredict_redirect", -1),
+    ("store_forward_window", -1),
+]
+
+
+@pytest.mark.parametrize("via", ["constructor", "from_dict"])
+@pytest.mark.parametrize("name,value", DEGENERATE)
+def test_degenerate_widths_rejected_by_name(name, value, via):
+    with pytest.raises(ConfigError, match=name):
+        if via == "constructor":
+            SimConfig(**{name: value})
+        else:
+            payload = SimConfig().to_dict()
+            payload[name] = value
+            SimConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "name", ["cross_cluster_penalty", "mispredict_redirect",
+             "store_forward_window"])
+def test_zero_delays_stay_legal(name):
+    config = SimConfig(**{name: 0})
+    assert SimConfig.from_dict(config.to_dict()) == config
+
+
 def test_policy_round_trips_both_knobs():
     config = SimConfig(
         trace_cache=TraceCacheConfig(policy="trrip"),

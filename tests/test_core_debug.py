@@ -1,8 +1,13 @@
 """Timing-trace debug facility tests."""
 
+from functools import lru_cache
+
+from repro import workloads
 from repro.core.config import SimConfig
 from repro.core.debug import TimingTrace
 from repro.core.pipeline import PipelineModel
+from repro.fillunit.opts.base import OptimizationConfig
+from repro.machine.executor import Executor
 from tests.helpers import run_asm
 
 LOOP = """
@@ -34,17 +39,39 @@ def test_records_cover_all_when_unbounded():
     assert len(hook) == len(trace) == result.instructions
 
 
+@lru_cache(maxsize=None)
+def capture_workload(bench):
+    """Every record of *bench* at scale 0.2 on the paper machine with
+    all four optimizations."""
+    program = workloads.build(bench, scale=0.2)
+    trace = Executor(program).run()
+    model = PipelineModel(SimConfig.paper(OptimizationConfig.all()))
+    hook = TimingTrace(limit=len(trace))
+    model.timing_hook = hook
+    model.run(trace, bench, "all", program=program)
+    assert len(hook) == len(trace) and hook.dropped == 0
+    return hook
+
+
 def test_stage_ordering_invariants():
     hook, _, _ = capture(limit=200)
     for r in hook.records:
         assert r.fetch < r.rename <= r.complete < r.retire
         assert r.latency >= 3
+    for bench in ("compress", "li"):
+        for r in capture_workload(bench).records:
+            assert r.fetch < r.rename <= r.complete < r.retire, r
 
 
 def test_retire_in_order():
     hook, _, _ = capture(limit=200)
     retires = [r.retire for r in hook.records]
     assert retires == sorted(retires)
+    for bench in ("compress", "li"):
+        records = capture_workload(bench).records
+        assert [r.seq for r in records] == list(range(len(records)))
+        retires = [r.retire for r in records]
+        assert retires == sorted(retires)
 
 
 def test_start_seq_offset():
