@@ -17,7 +17,7 @@ across the assembler, encoder and executor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import ExecutionError
 from repro.isa.instruction import Instruction
@@ -133,14 +133,13 @@ def evaluate(instr: Instruction, read: ReadReg) -> Effect:
         a = to_s32(read(instr.rs or 0))
         return Effect(dest=instr.dest(),
                       value=_shift(op, a, (instr.imm or 0) & 0x1F))
-    if op in (Op.SLLV, Op.SRLV, Op.SRAV):
+    if op in _VAR_SHIFT:
         a = to_s32(read(instr.rs or 0))
         amount = read(instr.rt or 0) & 0x1F
-        base = {Op.SLLV: Op.SLL, Op.SRLV: Op.SRL, Op.SRAV: Op.SRA}[op]
-        return Effect(dest=instr.dest(), value=_shift(base, a, amount))
-    if op is Op.LUI:
         return Effect(dest=instr.dest(),
-                      value=to_s32(((instr.imm or 0) & 0xFFFF) << 16))
+                      value=_shift(_VAR_SHIFT[op], a, amount))
+    if op is Op.LUI:
+        return Effect(dest=instr.dest(), value=_lui(instr.imm or 0))
 
     if op in _LOAD_SIZES:
         size, signed = _LOAD_SIZES[op]
@@ -162,20 +161,10 @@ def evaluate(instr: Instruction, read: ReadReg) -> Effect:
             value = to_u32(read(instr.rt or 0))
         return Effect(mem=MemOp(True, addr, size, False, value))
 
-    if op in (Op.BEQ, Op.BNE, Op.BLEZ, Op.BGTZ, Op.BLTZ, Op.BGEZ):
+    if op in _BRANCH:
         a = to_s32(read(instr.rs or 0))
-        if op is Op.BEQ:
-            taken = a == to_s32(read(instr.rt or 0))
-        elif op is Op.BNE:
-            taken = a != to_s32(read(instr.rt or 0))
-        elif op is Op.BLEZ:
-            taken = a <= 0
-        elif op is Op.BGTZ:
-            taken = a > 0
-        elif op is Op.BLTZ:
-            taken = a < 0
-        else:
-            taken = a >= 0
+        b = to_s32(read(instr.rt or 0)) if op in _BRANCH2 else 0
+        taken = _BRANCH[op](a, b)
         target = (to_u32(pc + (instr.imm or 0)) if taken
                   else to_u32(pc + 4))
         return Effect(is_ctrl=True, taken=taken, target=target)
@@ -205,6 +194,10 @@ def _shift(op: Op, a: int, amount: int) -> int:
     return to_s32(a >> amount)  # SRA on the signed value
 
 
+def _lui(imm: int) -> int:
+    return to_s32((imm & 0xFFFF) << 16)
+
+
 def _div(a: int, b: int) -> int:
     if b == 0:
         return 0  # architected: division by zero yields zero, no trap
@@ -213,7 +206,7 @@ def _div(a: int, b: int) -> int:
     return to_s32(-q if (a < 0) != (b < 0) else q)
 
 
-_ALU3 = {
+_ALU3: Dict[Op, Callable[[int, int], int]] = {
     Op.ADD: lambda a, b: to_s32(a + b),
     Op.SUB: lambda a, b: to_s32(a - b),
     Op.AND: lambda a, b: to_s32(a & b),
@@ -226,7 +219,7 @@ _ALU3 = {
     Op.DIV: _div,
 }
 
-_ALUI = {
+_ALUI: Dict[Op, Callable[[int, int], int]] = {
     Op.ADDI: lambda a, i: to_s32(a + i),
     Op.ANDI: lambda a, i: to_s32(a & i),
     Op.ORI: lambda a, i: to_s32(a | i),
@@ -234,5 +227,19 @@ _ALUI = {
     Op.SLTI: lambda a, i: int(a < i),
     Op.SLTIU: lambda a, i: int(to_u32(a) < to_u32(i)),
 }
+
+_VAR_SHIFT = {Op.SLLV: Op.SLL, Op.SRLV: Op.SRL, Op.SRAV: Op.SRA}
+
+#: Conditional-branch predicates over the signed ``rs``/``rt`` values;
+#: the one-register forms (all but :data:`_BRANCH2`) ignore ``b``.
+_BRANCH: Dict[Op, Callable[[int, int], bool]] = {
+    Op.BEQ: lambda a, b: a == b,
+    Op.BNE: lambda a, b: a != b,
+    Op.BLEZ: lambda a, b: a <= 0,
+    Op.BGTZ: lambda a, b: a > 0,
+    Op.BLTZ: lambda a, b: a < 0,
+    Op.BGEZ: lambda a, b: a >= 0,
+}
+_BRANCH2 = (Op.BEQ, Op.BNE)
 
 __all__ = ["Effect", "MemOp", "evaluate", "to_u32", "to_s32", "MASK32"]

@@ -9,6 +9,8 @@ memory system assumes naturally aligned accesses.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.errors import ExecutionError
 
 PAGE_SHIFT = 12
@@ -20,7 +22,7 @@ class Memory:
     """Byte-addressable sparse memory with natural-alignment checking."""
 
     def __init__(self) -> None:
-        self._pages: dict = {}
+        self._pages: Dict[int, bytearray] = {}
 
     def _page(self, addr: int) -> bytearray:
         key = addr >> PAGE_SHIFT
@@ -104,7 +106,7 @@ class Memory:
         """Number of pages allocated so far (test/debug aid)."""
         return len(self._pages)
 
-    def snapshot(self) -> dict:
+    def snapshot(self) -> Dict[int, bytes]:
         """A deep copy of all touched pages, for state-equality checks."""
         return {key: bytes(page) for key, page in self._pages.items()}
 

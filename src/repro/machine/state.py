@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.isa.registers import NUM_REGS, ZERO_REG, reg_name
 from repro.isa.semantics import to_s32
 
@@ -17,7 +19,7 @@ class ArchState:
     __slots__ = ("regs", "pc")
 
     def __init__(self, pc: int = 0) -> None:
-        self.regs = [0] * NUM_REGS
+        self.regs: List[int] = [0] * NUM_REGS
         self.pc = pc
 
     def read_reg(self, num: int) -> int:

@@ -8,9 +8,10 @@ instruction stream.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.isa.instruction import Instruction
+from repro.machine.state import ArchState
 
 
 class CommittedInstr:
@@ -39,7 +40,9 @@ class CommittedInstr:
 class CommittedTrace:
     """The full committed stream of one program run."""
 
-    def __init__(self, records: list, final_state, output: list) -> None:
+    def __init__(self, records: List[CommittedInstr],
+                 final_state: ArchState,
+                 output: List[Union[int, str]]) -> None:
         self.records = records
         self.final_state = final_state
         self.output = output
@@ -47,15 +50,15 @@ class CommittedTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __getitem__(self, index):
+    def __getitem__(self, index: int) -> CommittedInstr:
         return self.records[index]
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[CommittedInstr]:
         return iter(self.records)
 
-    def dynamic_op_mix(self) -> dict:
+    def dynamic_op_mix(self) -> Dict[str, int]:
         """Histogram of committed opcode classes (workload fingerprint)."""
-        mix: dict = {}
+        mix: Dict[str, int] = {}
         for record in self.records:
             key = record.instr.opclass.value
             mix[key] = mix.get(key, 0) + 1
@@ -64,7 +67,7 @@ class CommittedTrace:
     def conditional_branch_count(self) -> int:
         return sum(1 for r in self.records if r.instr.is_cond_branch())
 
-    def executed_edges(self) -> set:
+    def executed_edges(self) -> Set[Tuple[int, int]]:
         """Distinct executed control transitions as ``(pc, next_pc)``
         pairs. The halt self-transition (``next_pc == pc``) is
         excluded: it marks program exit, not a flow edge."""

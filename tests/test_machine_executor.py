@@ -2,10 +2,17 @@
 
 import pytest
 
+from repro import workloads
 from repro.errors import ExecutionError
 from repro.asm import assemble
+from repro.isa.instruction import (GuardAnnotation, Instruction,
+                                   ScaleAnnotation)
+from repro.isa.opcodes import Format, Op, op_info
+from repro.isa.semantics import evaluate, to_s32
 from repro.machine import ArchState, Executor, Memory, run_program
 from repro.machine.executor import execute_sequence
+from repro.program.image import Program
+from repro.program.loader import load_program
 from tests.helpers import run_asm
 
 
@@ -223,6 +230,7 @@ def test_execute_sequence_straight_line():
     state, mem = ArchState(), Memory()
     execute_sequence(prog.instructions[:3], state, mem)
     assert state.read_reg(10) == 20
+    assert state.pc == 0        # execute_sequence never writes the PC
 
 
 def test_dynamic_op_mix():
@@ -236,3 +244,189 @@ def test_dynamic_op_mix():
     mix = trace.dynamic_op_mix()
     assert mix["load"] == 1 and mix["store"] == 1
     assert trace.conditional_branch_count() == 0
+
+
+# ----------------------------------------------------------------------
+# Compiled steps against the evaluate reference
+# ----------------------------------------------------------------------
+
+def _reference_step(instr, pc, state, memory, output):
+    """Apply :func:`evaluate` to one instruction, as the executor did
+    before it compiled instructions. Returns the record fields after
+    ``seq``/``pc`` and whether the machine halted."""
+    effect = evaluate(instr, state.read_reg)
+    value, mem = effect.value, effect.mem
+    if mem is not None:
+        if mem.is_store:
+            memory.store(mem.addr, mem.store_value, mem.size)
+        else:
+            value = memory.load(mem.addr, mem.size, mem.signed)
+    if effect.dest is not None:
+        state.write_reg(effect.dest, value)
+    halted = effect.halt
+    if instr.op is Op.SYSCALL:
+        service, arg = state.read_reg(2), state.read_reg(4)
+        if service == 1:
+            output.append(to_s32(arg))
+        elif service == 11:
+            output.append(chr(arg & 0xFF))
+        halted = service == 10
+    next_pc = pc if halted else effect.target if effect.is_ctrl \
+        else pc + 4
+    row = (next_pc, effect.taken and effect.is_ctrl,
+           mem.addr if mem else None, mem.size if mem else 0,
+           bool(mem and mem.is_store))
+    return row, halted
+
+
+def _reference_run(program):
+    state, memory, output = ArchState(), Memory(), []
+    load_program(program, memory, state)
+    rows, halted = [], False
+    while not halted:
+        pc = state.pc
+        row, halted = _reference_step(program.instr_at(pc), pc, state,
+                                      memory, output)
+        state.pc = row[0]
+        rows.append((len(rows), pc) + row)
+    return rows, state, output
+
+
+INT_MIN, INT_MAX = -2 ** 31, 2 ** 31 - 1
+EDGES = (INT_MIN, -1, 0, 1, INT_MAX)
+T0, T1, T2 = 8, 9, 10
+DATA = 0x2000
+#: bytes 0xff 0xf0 0x81 0x80, 0x7f 0x01 0x00 0x80: sign bits set and
+#: clear in every byte and halfword position
+WORDS = {DATA: to_s32(0x8081F0FF), DATA + 4: to_s32(0x8000017F)}
+
+
+def _operand_cases(op):
+    """``(instruction fields, register values)`` pairs covering *op*'s
+    edge cases."""
+    fmt = op_info(op).format
+    if fmt is Format.R3:
+        values = EDGES + (31, 32)
+        cases = [(dict(rd=T2, rs=T0, rt=T1), {T0: a, T1: b})
+                 for a in values for b in values]
+        return cases + [(dict(rd=0, rs=T0, rt=T1), {T0: 5, T1: 7}),
+                        (dict(rd=T0, rs=T0, rt=T0), {T0: INT_MIN})]
+    if fmt is Format.R2I:
+        return [(dict(rd=T2, rs=T0, imm=imm), {T0: a}) for a in EDGES
+                for imm in (-32768, -1, 0, 1, 32767)] \
+            + [(dict(rd=0, rs=T0, imm=3), {T0: 1})]
+    if fmt is Format.SHIFT:
+        return [(dict(rd=T2, rs=T0, imm=imm), {T0: a}) for a in EDGES
+                for imm in (0, 1, 31)]
+    if fmt is Format.LUI:
+        return [(dict(rd=T2, imm=imm), {})
+                for imm in (0, 1, -1, 0x7FFF, -32768)]
+    # Memory forms try every byte offset, aligned or not.
+    if fmt in (Format.LOAD, Format.STORE):
+        reg = dict(rd=T2) if fmt is Format.LOAD else dict(rt=T1)
+        cases = [(dict(reg, rs=T0, imm=imm), {T0: DATA, T1: value})
+                 for imm in range(8) for value in (INT_MIN, -1)]
+        if fmt is Format.LOAD:      # $zero loads still access memory
+            cases += [(dict(rd=0, rs=T0, imm=imm), {T0: DATA})
+                      for imm in (1, 4)]
+        return cases + [(dict(reg, rs=T0, imm=-4), {T0: DATA + 4})]
+    if fmt in (Format.LOADX, Format.STOREX):
+        return [(dict(rd=T2, rs=T0, rt=T1), {T0: DATA, T1: off, T2: -1})
+                for off in range(8)]
+    if fmt is Format.BR2:
+        return [(dict(rs=T0, rt=T1, imm=imm), {T0: a, T1: b})
+                for a in EDGES for b in (INT_MIN, 0, INT_MAX)
+                for imm in (4, -8)]
+    if fmt is Format.BR1:
+        return [(dict(rs=T0, imm=imm), {T0: a})
+                for a in EDGES for imm in (4, 16)]
+    if fmt is Format.J:
+        return [(dict(imm=0x1040), {})]
+    if fmt is Format.JR:
+        return [(dict(rs=T0), {T0: a}) for a in (0x1040, -4)]
+    if fmt is Format.JALR:
+        return [(dict(rd=rd, rs=T0), {T0: 0x1040}) for rd in (31, 0, T0)]
+    if op is Op.SYSCALL:
+        return [({}, {2: service, 4: arg}) for service in (1, 5, 10, 11)
+                for arg in (INT_MIN, -1, 65)]
+    return [({}, {})]
+
+
+#: the multi-byte accesses' sizes: they raise at a misaligned address
+MULTIBYTE = {Op.LW: 4, Op.LH: 2, Op.LHU: 2, Op.SW: 4, Op.SH: 2,
+             Op.LWX: 4, Op.SWX: 4}
+
+
+def _both(op, fields, regs, annotations=None):
+    """Run one instruction through a compiled step and through the
+    evaluate reference; return both outcomes."""
+    outcomes = []
+    for compiled in (True, False):
+        instr = Instruction(op, **fields, **(annotations or {}))
+        program = Program([instr])
+        ex = Executor(program)
+        for reg, value in regs.items():
+            ex.state.write_reg(reg, value)
+        for addr, word in WORDS.items():
+            ex.memory.store_word(addr, word)
+        try:
+            if compiled:
+                record = ex.step()
+                row = (record.next_pc, record.taken, record.mem_addr,
+                       record.mem_size, record.is_store)
+                halted = ex.halted
+            else:
+                row, halted = _reference_step(instr, ex.state.pc,
+                                              ex.state, ex.memory,
+                                              ex.output)
+                ex.state.pc = row[0]
+        except ExecutionError as err:
+            outcomes.append(("raised", str(err)))
+            continue
+        outcomes.append((row, halted, ex.state.copy(),
+                         ex.memory.snapshot(), list(ex.output)))
+    return outcomes
+
+
+@pytest.mark.parametrize("op", list(Op), ids=lambda op: op.name)
+def test_compiled_step_matches_evaluate(op):
+    errors = set()
+    for fields, regs in _operand_cases(op):
+        compiled, reference = _both(op, fields, regs)
+        assert compiled == reference, (fields, regs)
+        if compiled[0] == "raised":
+            errors.add(compiled[1].split(" access")[0])
+    size = MULTIBYTE.get(op)
+    assert errors == ({f"misaligned {size}-byte"} if size else set())
+
+
+def test_taken_branch_to_fallthrough_is_taken():
+    ex = Executor(Program([Instruction(Op.BEQ, rs=0, rt=0, imm=4)]))
+    record = ex.step()
+    assert record.taken and record.next_pc == record.pc + 4
+
+
+@pytest.mark.parametrize("annotations", [
+    dict(scale=ScaleAnnotation(T1, 2)),
+    dict(guard=GuardAnnotation(T1, True)),
+    dict(guard=GuardAnnotation(T1, False)),
+], ids=["scale", "guard-active", "guard-inactive"])
+def test_annotated_instructions_apply_evaluate(annotations):
+    for op, fields in ((Op.ADD, dict(rd=T2, rs=T0, rt=T0)),
+                       (Op.ADDI, dict(rd=T2, rs=T0, imm=3)),
+                       (Op.LW, dict(rd=T2, rs=T0, imm=0))):
+        compiled, reference = _both(op, fields,
+                                    {T0: DATA, T1: 0, T2: 77},
+                                    annotations)
+        assert compiled[0] != "raised" and compiled == reference
+
+
+def test_every_workload_trace_matches_evaluate_reference():
+    for name in workloads.names():
+        program = workloads.build(name, scale=0.1)
+        trace = Executor(program).run()
+        rows, state, output = _reference_run(program)
+        assert [(r.seq, r.pc, r.next_pc, r.taken, r.mem_addr, r.mem_size,
+                 r.is_store) for r in trace] == rows, name
+        assert trace.final_state == state, name
+        assert trace.output == output, name
