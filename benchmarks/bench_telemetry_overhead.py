@@ -1,16 +1,10 @@
-"""Telemetry overhead guard.
+"""Telemetry overhead sanity bound.
 
-The telemetry design promises *near-zero overhead when disabled*: a
-run with a ``Telemetry(enabled=False)`` session (or no session at all)
-must go through the null-object fast path — no event construction, no
-accountant, no sink fan-out. This benchmark holds that promise to a
-number: the disabled-session replay loop must be within 3% of the
-no-session replay loop. A regression here means someone made a
-disabled-mode code path do real work.
-
-The fully-enabled cost (events + cycle accounting) is also measured
-and reported, but only sanity-bounded — profiling is allowed to cost
-something.
+Passing no session is the one way to run without telemetry. This
+benchmark measures what a fully enabled session (events, cycle
+accounting and an in-memory sink) costs on top of a no-session run
+and holds it to a loose sanity bound: profiling is allowed to cost
+something, but runaway per-instruction work should fail here.
 
 Run with ``pytest benchmarks/bench_telemetry_overhead.py -s`` or
 directly as a script.
@@ -20,7 +14,7 @@ import time
 
 from repro import workloads
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
 
@@ -36,7 +30,7 @@ def _trace():
 def _one_replay(trace, telemetry) -> float:
     """Wall time of one replay (model construction excluded; the trace
     is shared)."""
-    model = PipelineModel(SimConfig.paper(), telemetry=telemetry)
+    model = Engine(SimConfig.paper(), telemetry=telemetry)
     start = time.perf_counter()
     model.run(trace, "compress", "bench")
     return time.perf_counter() - start
@@ -47,16 +41,13 @@ def measure() -> dict:
     # Warm-up: the first replays pay import and allocator noise.
     _one_replay(trace, None)
     _one_replay(trace, Telemetry())
-    # Interleave the configurations so clock-frequency drift hits all
+    # Interleave the configurations so clock-frequency drift hits both
     # of them equally; compare best-of-N.
-    t_none = t_disabled = t_enabled = None
+    t_none = t_enabled = None
     for _ in range(REPEATS):
         sample = _one_replay(trace, None)
         if t_none is None or sample < t_none:
             t_none = sample
-        sample = _one_replay(trace, Telemetry(enabled=False))
-        if t_disabled is None or sample < t_disabled:
-            t_disabled = sample
         enabled = Telemetry()
         enabled.attach_memory()
         sample = _one_replay(trace, enabled)
@@ -64,27 +55,20 @@ def measure() -> dict:
             t_enabled = sample
     return {
         "no_session": t_none,
-        "disabled_session": t_disabled,
         "enabled_session": t_enabled,
-        "disabled_overhead_pct":
-            100.0 * (t_disabled / t_none - 1.0) if t_none else 0.0,
         "enabled_overhead_pct":
             100.0 * (t_enabled / t_none - 1.0) if t_none else 0.0,
     }
 
 
-def test_disabled_telemetry_overhead(capsys=None):
+def test_telemetry_overhead(capsys=None):
     stats = measure()
     report = (
         f"replay best-of-{REPEATS}: "
         f"no session {1000 * stats['no_session']:.1f} ms, "
-        f"disabled session {1000 * stats['disabled_session']:.1f} ms "
-        f"({stats['disabled_overhead_pct']:+.1f}%), "
         f"enabled session {1000 * stats['enabled_session']:.1f} ms "
         f"({stats['enabled_overhead_pct']:+.1f}%)")
     print("\n" + report)
-    # The guard: a disabled session must ride the null-object fast path.
-    assert stats["disabled_overhead_pct"] < 3.0, report
     # Sanity bound on the profiling cost (events + accountant); this is
     # deliberately loose — it exists to catch runaway per-instruction
     # work, not to tune.
@@ -92,5 +76,5 @@ def test_disabled_telemetry_overhead(capsys=None):
 
 
 if __name__ == "__main__":
-    test_disabled_telemetry_overhead()
-    print("telemetry overhead guard passed")
+    test_telemetry_overhead()
+    print("telemetry overhead bound passed")

@@ -29,8 +29,9 @@ _NESTED_TYPES = {
 #: delays, checked before the cross-field constraints.
 _LOWER_BOUNDS = (
     ("fetch_width", 1), ("issue_width", 1), ("retire_width", 1),
-    ("max_blocks_per_cycle", 1), ("ic_fetch_width", 1),
-    ("num_clusters", 1), ("cluster_size", 1), ("rs_per_fu", 1),
+    ("max_blocks_per_cycle", 1), ("max_checkpoints", 1),
+    ("ic_fetch_width", 1), ("num_clusters", 1), ("cluster_size", 1),
+    ("rs_per_fu", 1), ("fill_latency", 1),
     ("cross_cluster_penalty", 0), ("mispredict_redirect", 0),
     ("store_forward_window", 0),
 )
@@ -99,15 +100,13 @@ class SimConfig:
                     f"{name} must be at least {least}, got {value}")
         if self.num_clusters * self.cluster_size > self.fetch_width:
             raise ConfigError(
-                "more functional units than issue slots: "
-                f"{self.num_clusters}x{self.cluster_size} vs "
-                f"{self.fetch_width}")
+                "num_clusters * cluster_size must not exceed "
+                f"fetch_width, got {self.num_clusters}x"
+                f"{self.cluster_size} vs {self.fetch_width}")
         if self.window_size < self.fetch_width:
-            raise ConfigError("window smaller than one fetch group")
-        if self.fill_latency < 1:
-            raise ConfigError("fill latency is at least one cycle")
-        if self.max_checkpoints < 1:
-            raise ConfigError("need at least one checkpoint")
+            raise ConfigError(
+                "window_size must be at least fetch_width, got "
+                f"{self.window_size} vs {self.fetch_width}")
         if self.verify_each_pass and not self.verify_fill:
             raise ConfigError(
                 "verify_each_pass requires verify_fill")

@@ -1,28 +1,17 @@
 """Pipeline debugging aids: per-instruction timing capture.
 
-Attach a :class:`TimingTrace` to a :class:`PipelineModel` to record
-when every committed instruction was fetched, renamed, completed and
-retired — the raw material for understanding *why* a configuration is
-faster (which chain shrank, where the bypass penalty went).
+A :class:`TimingTrace` records when every committed instruction was
+fetched, renamed, completed and retired — the raw material for
+understanding *why* a configuration is faster (which chain shrank,
+where the bypass penalty went). It is a telemetry event sink: it
+declares ``wants_instr_timing``, which turns on the engine's
+per-instruction ``instr.retired`` events::
 
-Two equivalent attachment points share one capture path:
-
-* directly, as the model's ``timing_hook`` callable::
-
-      model = PipelineModel(config)
-      capture = TimingTrace(limit=200)
-      model.timing_hook = capture
-      model.run(trace)
-      print(capture.render())
-
-* as a sink on a telemetry event stream (it declares
-  ``wants_instr_timing``, which turns on the pipeline's per-instruction
-  ``instr.retired`` events)::
-
-      telemetry = Telemetry()
-      capture = TimingTrace(limit=200)
-      telemetry.attach(capture)
-      Simulator(config, telemetry=telemetry).run(program)
+    telemetry = Telemetry(attribution=False)
+    capture = TimingTrace(limit=200)
+    telemetry.attach(capture)
+    Engine(config, telemetry=telemetry).run(trace)
+    print(capture.render())
 
 Records past ``limit`` are not silently discarded: the ``dropped``
 counter says how many were seen but not kept, and ``render()`` reports
@@ -33,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.telemetry.events import INSTR_RETIRED
 
 
 @dataclass(frozen=True)
@@ -57,14 +48,10 @@ class TimingRecord:
 
 
 class TimingTrace:
-    """Bounded per-instruction timing capture.
+    """Bounded per-instruction timing capture, fed by ``instr.retired``
+    events from an attached telemetry session."""
 
-    Usable both as the pipeline's ``timing_hook`` callable and as a
-    telemetry event sink (``handle``); both paths funnel into the same
-    capture logic.
-    """
-
-    #: as an event sink, ask the pipeline for ``instr.retired`` events.
+    #: ask the engine for ``instr.retired`` events.
     wants_instr_timing = True
 
     def __init__(self, limit: int = 1000, start_seq: int = 0) -> None:
@@ -74,26 +61,17 @@ class TimingTrace:
         #: records seen after the limit was reached (not retained)
         self.dropped = 0
 
-    def _capture(self, fields: dict) -> None:
+    def handle(self, event) -> None:
+        """Telemetry-sink entry point; keeps ``instr.retired`` events."""
+        if event.kind != INSTR_RETIRED:
+            return
+        fields = event.data
         if fields["seq"] < self.start_seq:
             return
         if len(self.records) >= self.limit:
             self.dropped += 1
             return
         self.records.append(TimingRecord(**fields))
-
-    def __call__(self, *, seq: int, pc: int, op: str, fetch: int,
-                 rename: int, complete: int, retire: int, slot: int,
-                 from_tc: bool, mispredicted: bool) -> None:
-        self._capture(dict(seq=seq, pc=pc, op=op, fetch=fetch,
-                           rename=rename, complete=complete,
-                           retire=retire, slot=slot, from_tc=from_tc,
-                           mispredicted=mispredicted))
-
-    def handle(self, event) -> None:
-        """Telemetry-sink entry point for ``instr.retired`` events."""
-        if event.kind == "instr.retired":
-            self._capture(event.data)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -76,21 +76,21 @@ class Engine:
                  telemetry: Optional[Any] = None) -> None:
         self.config = config
         self.telemetry = telemetry
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             self.registry = telemetry.registry
             self.events = telemetry.events
+            events_arg = self.events
         else:
             # The registry stays live even without a session: it is the
             # source of truth the SimResult counters derive from.
             self.registry = TelemetryRegistry()
             self.events = NULL_EVENT_STREAM
+            events_arg = None
         registry_arg = self.registry
-        events_arg = self.events if self.events.enabled else None
         #: span recorder when the session traces spans, else None —
         #: instrumented components guard on `is not None` so the
         #: untraced hot path pays a single attribute check at most.
-        self.spans = active_or_none(getattr(telemetry, "spans", None)
-                                    if telemetry is not None else None)
+        self.spans = active_or_none(getattr(telemetry, "spans", None))
         self.hierarchy = MemoryHierarchy(config.hierarchy)
         self.predictor = MultiBranchPredictor(config.predictor)
         self.trace_cache = (TraceCache(config.trace_cache)
@@ -126,9 +126,6 @@ class Engine:
         self.retire_unit = RetireUnit(config.retire_width)
         self.memsched = MemoryScheduler(self.hierarchy,
                                         config.store_forward_window)
-        #: optional per-instruction timing callback; see
-        #: :class:`repro.core.debug.TimingTrace`.
-        self.timing_hook: Optional[Any] = None
 
         #: the stage list, in pipeline order. Owned by the engine;
         #: tests may append observer stages before ``run()``.
@@ -220,9 +217,6 @@ class Engine:
             records=records, n=n, result=result,
             reg_ready=reg_ready,
             accountant=accountant,
-            timing_hook=self.timing_hook,
-            want_payload=((self.timing_hook is not None)
-                          or events.wants_instr_timing),
             emit_retired=events.wants_instr_timing,
             wrong_path=wrong_path)
 

@@ -24,7 +24,7 @@ granularity through :meth:`PipelineStage.begin_group` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.results import SimResult
 from repro.isa.decode import DecodeRecord
@@ -122,7 +122,8 @@ class MachineState:
     the committed stream and the fetch cursor, the architectural
     dataflow scoreboard, retirement history (bounding the in-flight
     window), the front-end delay carried into the next group, and the
-    run-scoped observers (accountant, timing hook, wrong-path model).
+    run-scoped observers (accountant, ``instr.retired`` events,
+    wrong-path model).
     """
 
     records: List[Any]
@@ -139,8 +140,7 @@ class MachineState:
     pending_serialize: int = 0
     group: Optional[FetchGroup] = None
     accountant: Optional[Any] = None
-    timing_hook: Optional[Callable[..., None]] = None
-    want_payload: bool = False
+    #: an attached sink wants per-instruction ``instr.retired`` events
     emit_retired: bool = False
     wrong_path: Optional[Any] = None
 

@@ -116,7 +116,7 @@ class IneffectualityLog:
 class IneffectualityLogStage(PipelineStage):
     """Engine observer stage wrapping :class:`IneffectualityLog`.
 
-    Append to ``PipelineModel(...).stages`` after the built-in stages;
+    Append to ``Engine(...).stages`` after the built-in stages;
     it reads only each slot's committed record and mutates nothing in
     the machine state.
     """

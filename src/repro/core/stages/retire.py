@@ -4,8 +4,7 @@ Owns the retire unit (retire-width bound), the checkpoint store's
 commit side, branch-outcome accounting (including promoted and
 predicated-away branches), mispredict redirect pushback on the next
 fetch group, wrong-path pollution, and the per-instruction observers:
-the cycle accountant, the timing hook and opt-in ``instr.retired``
-events.
+the cycle accountant and opt-in ``instr.retired`` events.
 """
 
 from __future__ import annotations
@@ -76,17 +75,14 @@ class RetireStage(PipelineStage):
             group.recovery = 0
             group.serialize = 0
             group.fetch_extra = 0
-        if state.want_payload:
-            payload = dict(
+        if state.emit_retired:
+            self.events.emit(
+                INSTR_RETIRED, retire_cycle,
                 seq=slot.seq, pc=record.pc, op=entry.instr.op.value,
                 fetch=group.fetch_cycle, rename=slot.renamed,
                 complete=slot.complete, retire=retire_cycle,
                 slot=entry.slot, from_tc=entry.from_tc,
                 mispredicted=entry.mispredicted)
-            if state.timing_hook is not None:
-                state.timing_hook(**payload)
-            if state.emit_retired:
-                self.events.emit(INSTR_RETIRED, retire_cycle, **payload)
 
         # The architected instruction's record: a trace-cache entry's
         # own may describe a rewritten copy (e.g. a branch predicated

@@ -36,7 +36,7 @@ from repro.analysis.static.ineffectuality import (
 )
 from repro.analysis.static.report import AnalysisReport
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.core.results import SimResult
 from repro.core.stages.ineff import IneffectualityLogStage
 from repro.errors import ConfigError
@@ -109,7 +109,7 @@ def collect_dynamic_sites(trace: CommittedTrace, config: SimConfig,
             or under an extended optimization configuration.
     """
     _require_paper_opts(config)
-    model = PipelineModel(config)
+    model = Engine(config)
     if model.fill_unit is None:
         raise ConfigError("cross-check requires the trace cache "
                           "(and with it the fill unit) enabled")
@@ -208,7 +208,7 @@ def collect_ineffectual_sites(trace: CommittedTrace, config: SimConfig,
     semantics from the committed records, which every configuration
     shares) and never perturbs timing.
     """
-    model = PipelineModel(config)
+    model = Engine(config)
     stage = IneffectualityLogStage(program)
     model.stages.append(stage)
     result = model.run(trace, benchmark=benchmark, label=label)

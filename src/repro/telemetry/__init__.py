@@ -22,9 +22,10 @@ Usage::
     print(result.telemetry)             # flat {scope: value} snapshot
     telemetry.close()
 
-Passing no session costs (almost) nothing: the pipeline still keeps
-its own registry (the single source of truth behind ``SimResult``'s
-counters) but emits no events and skips cycle accounting entirely.
+Passing no session is the one way to run without telemetry, and it
+costs (almost) nothing: the engine still keeps its own registry (the
+single source of truth behind ``SimResult``'s counters) but emits no
+events and skips cycle accounting entirely.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ from repro.telemetry.events import (
     MemorySink,
     CallbackSink,
     NULL_EVENT_STREAM,
-    read_jsonl,
 )
-from repro.telemetry.registry import (
-    NULL_REGISTRY,
-    TelemetryRegistry,
-)
+from repro.telemetry.registry import TelemetryRegistry
 from repro.telemetry.spans import (
     NULL_SPANS,
     SpanRecorder,
@@ -67,31 +64,13 @@ class Telemetry:
     by default — span capture retains every record).
     """
 
-    def __init__(self, enabled: bool = True, event_capacity: int = 4096,
+    def __init__(self, event_capacity: int = 4096,
                  attribution: bool = True, spans: bool = False) -> None:
-        self.enabled = enabled
-        self.registry = (TelemetryRegistry() if enabled
-                         else NULL_REGISTRY)
-        self.events = (EventStream(event_capacity) if enabled
-                       else NULL_EVENT_STREAM)
-        self.attribution = bool(attribution and enabled)
-        self.spans = (SpanRecorder() if spans and enabled
-                      else NULL_SPANS)
+        self.registry = TelemetryRegistry()
+        self.events = EventStream(event_capacity)
+        self.attribution = attribution
+        self.spans = SpanRecorder() if spans else NULL_SPANS
         self._sinks: list = []
-
-    # ------------------------------------------------------------------
-
-    def enable_spans(self) -> SpanRecorder:
-        """Attach (or return the existing) span recorder. Must happen
-        before the instrumented components are constructed — they
-        capture the recorder at construction time."""
-        if not self.enabled:
-            raise RuntimeError("cannot record spans on a disabled "
-                               "telemetry session")
-        if not self.spans.enabled:
-            self.spans = SpanRecorder()
-        recorder: SpanRecorder = self.spans
-        return recorder
 
     # ------------------------------------------------------------------
 
@@ -123,5 +102,5 @@ class Telemetry:
 __all__ = ["Telemetry", "TelemetryRegistry", "EventStream", "JsonlSink",
            "MemorySink", "CallbackSink", "CycleAccountant",
            "CYCLE_CLASSES", "render_attribution", "diff_attribution",
-           "read_jsonl", "NULL_REGISTRY", "NULL_EVENT_STREAM",
+           "NULL_EVENT_STREAM",
            "SpanRecorder", "NULL_SPANS"]

@@ -9,9 +9,10 @@ for post-mortem inspection) and forwards every event to pluggable
 sinks: a JSONL file, an in-memory list, or an arbitrary callback.
 
 Event kinds and payload schemas are documented in
-``docs/observability.md``. High-frequency per-instruction timing
-events (:data:`INSTR_RETIRED`) are opt-in: the pipeline only emits
-them when an attached sink declares ``wants_instr_timing`` (see
+``docs/observability.md``; :func:`repro.telemetry.io.read_events`
+loads a JSONL archive back. High-frequency per-instruction timing
+events (:data:`INSTR_RETIRED`) are opt-in: the engine only emits them
+when an attached sink declares ``wants_instr_timing`` (see
 :class:`~repro.core.debug.TimingTrace`), so ordinary profiled runs pay
 nothing per instruction.
 """
@@ -141,23 +142,10 @@ class JsonlSink:
         self.close()
 
 
-def read_jsonl(path) -> list:
-    """Load a JSONL event file back into :class:`Event` objects.
-
-    Thin wrapper over :func:`repro.telemetry.io.read_events` (the
-    shared archive loader with malformed-line reporting), kept for
-    source compatibility.
-    """
-    from repro.telemetry.io import read_events
-    return read_events(path, on_error="raise")
-
-
 # -- the stream ---------------------------------------------------------
 
 class EventStream:
     """Bounded retention plus fan-out to sinks."""
-
-    enabled = True
 
     def __init__(self, capacity: int = 4096) -> None:
         self.capacity = capacity
@@ -200,16 +188,15 @@ class EventStream:
 
 
 class _NullEventStream:
-    """The disabled fast path: every operation is a no-op."""
+    """The no-session fast path: every operation is a no-op."""
 
-    enabled = False
     wants_instr_timing = False
     emitted = 0
     dropped = 0
 
     def attach(self, sink) -> None:
         raise RuntimeError("cannot attach a sink to the null event "
-                           "stream; enable telemetry first")
+                           "stream; pass a Telemetry session instead")
 
     def emit(self, kind: str, cycle: int, **data) -> None:
         pass
@@ -224,7 +211,7 @@ class _NullEventStream:
 NULL_EVENT_STREAM = _NullEventStream()
 
 __all__ = ["Event", "EventStream", "MemorySink", "CallbackSink",
-           "JsonlSink", "read_jsonl", "NULL_EVENT_STREAM", "EVENT_KINDS",
+           "JsonlSink", "NULL_EVENT_STREAM", "EVENT_KINDS",
            "RUN_STARTED", "RUN_FINISHED", "SEGMENT_BUILT",
            "SEGMENT_DEDUPED", "OPT_APPLIED", "OPT_REJECTED",
            "BRANCH_PROMOTED", "BRANCH_MISPREDICT", "FETCH_MISFETCH",

@@ -132,7 +132,8 @@ DEGENERATE = [
     ("max_blocks_per_cycle", 0), ("ic_fetch_width", 0),
     ("num_clusters", 0), ("cluster_size", 0), ("rs_per_fu", 0),
     ("cross_cluster_penalty", -1), ("mispredict_redirect", -1),
-    ("store_forward_window", -1),
+    ("store_forward_window", -1), ("fill_latency", 0),
+    ("max_checkpoints", 0),
 ]
 
 

@@ -39,7 +39,7 @@ import pytest
 from repro import workloads
 from repro.cache.policy import POLICY_NAMES
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine import run_program
 from tests.helpers import run_asm
@@ -120,18 +120,18 @@ def run_cell(cell: str):
     if kind == "kernel":
         _program, trace = run_asm(KERNELS[rest])
         config = SimConfig.tiny(OptimizationConfig.extended())
-        return PipelineModel(config).run(trace, benchmark="kernel")
+        return Engine(config).run(trace, benchmark="kernel")
     bench, _, variant = rest.partition("/")
     if kind == "anchor":
         _program, trace = _workload(bench, 0.5)
         config = SimConfig.paper(OptimizationConfig.all())
-        return PipelineModel(config).run(trace, benchmark=bench)
+        return Engine(config).run(trace, benchmark=bench)
     program, trace = _workload(bench, 0.2)
     if kind == "policy":
-        return PipelineModel(_policy_config(variant)).run(
+        return Engine(_policy_config(variant)).run(
             trace, benchmark=bench, program=program)
     config = SimConfig.tiny(PAPER_CONFIGS[variant]())
-    return PipelineModel(config).run(trace, benchmark=bench)
+    return Engine(config).run(trace, benchmark=bench)
 
 
 def result_digest(result) -> str:

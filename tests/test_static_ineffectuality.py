@@ -15,7 +15,7 @@ from repro.analysis.static.interproc import interprocedural_analysis
 from repro.analysis.static.valueflow import solve_valueflow
 from repro.asm import assemble
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.core.stages.ineff import IneffectualityLog, IneffectualityLogStage
 from repro.errors import ConfigError
 from repro.fillunit.opts.base import OptimizationConfig
@@ -245,8 +245,8 @@ def test_observer_is_timing_neutral():
     trace = run_program(program)
     for opts in (OptimizationConfig.none(), OptimizationConfig.all()):
         config = SimConfig.paper(opts)
-        bare = PipelineModel(config).run(trace, benchmark="compress",
-                                         label="bare")
+        bare = Engine(config).run(trace, benchmark="compress",
+                                  label="bare")
         result, _, _ = collect_ineffectual_sites(
             trace, config, program, "compress", "observed")
         assert result.cycles == bare.cycles
@@ -261,7 +261,7 @@ def test_observer_preserves_golden_cycles(name, golden):
     program = workloads.build(name, 0.5)
     trace = run_program(program)
     config = SimConfig.paper(OptimizationConfig.all())
-    bare = PipelineModel(config).run(trace, benchmark=name, label="bare")
+    bare = Engine(config).run(trace, benchmark=name, label="bare")
     assert bare.cycles == golden
     observed, _, _ = collect_ineffectual_sites(
         trace, config, program, name, "observed")
@@ -272,7 +272,7 @@ def test_observer_stage_skips_phantoms():
     program = workloads.build("li", 0.2)
     trace = run_program(program)
     config = SimConfig.paper(OptimizationConfig.extended())
-    model = PipelineModel(config)
+    model = Engine(config)
     stage = IneffectualityLogStage(program)
     model.stages.append(stage)
     model.run(trace, benchmark="li", label="phantoms")

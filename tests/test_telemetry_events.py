@@ -4,7 +4,7 @@ and the pipeline's event emission."""
 import pytest
 
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.telemetry import Telemetry
 from repro.telemetry.events import (
     BRANCH_MISPREDICT,
@@ -15,8 +15,8 @@ from repro.telemetry.events import (
     RUN_FINISHED,
     RUN_STARTED,
     SEGMENT_BUILT,
-    read_jsonl,
 )
+from repro.telemetry.io import read_events
 from tests.helpers import run_asm
 
 LOOP = """
@@ -70,7 +70,7 @@ def test_jsonl_roundtrip(tmp_path):
     stream.emit(BRANCH_MISPREDICT, 9, pc=0x2000, taken=True)
     sink.close()
     assert sink.written == 2
-    events = read_jsonl(str(path))
+    events = read_events(str(path))
     assert [e.kind for e in events] == [SEGMENT_BUILT, BRANCH_MISPREDICT]
     assert events[0].cycle == 7
     assert events[0].data == {"start_pc": 0x1000, "instrs": 12}
@@ -84,18 +84,11 @@ def test_null_stream_rejects_sinks():
         NULL_EVENT_STREAM.attach(MemorySink())
 
 
-def test_disabled_session_uses_null_stream():
-    telemetry = Telemetry(enabled=False)
-    assert telemetry.events is NULL_EVENT_STREAM
-    with pytest.raises(RuntimeError):
-        telemetry.attach_memory()
-
-
 def test_pipeline_emits_lifecycle_and_component_events():
     _, trace = run_asm(LOOP)
     telemetry = Telemetry()
     sink = telemetry.attach_memory()
-    result = PipelineModel(SimConfig.tiny(), telemetry=telemetry).run(
+    result = Engine(SimConfig.tiny(), telemetry=telemetry).run(
         trace, "t", "r")
     kinds = {e.kind for e in sink.events}
     assert RUN_STARTED in kinds
@@ -116,13 +109,13 @@ def test_instr_timing_events_are_opt_in():
     _, trace = run_asm(LOOP)
     plain = Telemetry()
     quiet = plain.attach_memory()
-    PipelineModel(SimConfig.tiny(), telemetry=plain).run(trace, "t", "r")
+    Engine(SimConfig.tiny(), telemetry=plain).run(trace, "t", "r")
     assert quiet.by_kind("instr.retired") == []
 
     wanting = Telemetry()
     sink = MemorySink()
     sink.wants_instr_timing = True
     wanting.attach(sink)
-    result = PipelineModel(SimConfig.tiny(), telemetry=wanting).run(
+    result = Engine(SimConfig.tiny(), telemetry=wanting).run(
         trace, "t", "r")
     assert len(sink.by_kind("instr.retired")) == result.instructions

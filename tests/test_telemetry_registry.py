@@ -1,14 +1,10 @@
-"""Telemetry registry tests: scoped metrics, the disabled fast path,
-and snapshot determinism."""
+"""Telemetry registry tests: scoped metrics and snapshot
+determinism."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.telemetry.registry import (
-    NULL_METRIC,
-    NULL_REGISTRY,
-    TelemetryRegistry,
-)
+from repro.telemetry.registry import TelemetryRegistry
 
 
 def test_counter_scoping_and_get_or_create():
@@ -64,21 +60,6 @@ def test_kind_conflict_raises():
         registry.histogram("fetch.tc.hits")
 
 
-def test_disabled_registry_is_noop():
-    registry = TelemetryRegistry(enabled=False)
-    counter = registry.counter("fetch.tc.hits")
-    assert counter is NULL_METRIC
-    counter.add(100)
-    registry.gauge("g").set(5)
-    registry.histogram("h").observe(3)
-    assert counter.value == 0
-    assert len(registry) == 0
-    assert registry.flat() == {}
-    assert registry.snapshot() == {}
-    # the shared process-wide instance behaves the same
-    assert NULL_REGISTRY.counter("x.y") is NULL_METRIC
-
-
 def _populate(registry):
     registry.counter("fetch.tc.hits").add(3)
     registry.counter("fetch.tc.lookups").add(4)
@@ -111,7 +92,7 @@ def test_nested_snapshot_structure():
 
 def test_real_run_snapshot_is_deterministic():
     from repro.core.config import SimConfig
-    from repro.core.pipeline import PipelineModel
+    from repro.core.engine import Engine
     from tests.helpers import run_asm
 
     source = """
@@ -127,7 +108,7 @@ def test_real_run_snapshot_is_deterministic():
     _, trace = run_asm(source)
     results = []
     for _ in range(2):
-        model = PipelineModel(SimConfig.tiny())
+        model = Engine(SimConfig.tiny())
         results.append(model.run(trace, "t", "r"))
     assert results[0].telemetry == results[1].telemetry
     assert results[0].telemetry  # non-empty even without a session

@@ -90,13 +90,6 @@ def test_active_or_none():
 def test_telemetry_session_spans_flag():
     assert Telemetry().spans is NULL_SPANS
     assert Telemetry(spans=True).spans.enabled
-    assert Telemetry(enabled=False, spans=True).spans is NULL_SPANS
-    session = Telemetry()
-    recorder = session.enable_spans()
-    assert session.spans is recorder and recorder.enabled
-    assert session.enable_spans() is recorder   # idempotent
-    with pytest.raises(RuntimeError):
-        Telemetry(enabled=False).enable_spans()
 
 
 # -- lifecycle instrumentation ------------------------------------------

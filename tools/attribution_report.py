@@ -16,21 +16,13 @@ from repro.telemetry.attribution import diff_attribution, \
 from repro.telemetry.io import load_attribution_runs
 
 
-def load_runs(path) -> list:
-    """``(label, cycles, attribution)`` per finished run in *path*.
-
-    Thin wrapper over the shared archive loader (kept under the
-    historical name); malformed lines are reported but skipped."""
-    return load_attribution_runs(path, on_error="warn")
-
-
 def main() -> int:
     if len(sys.argv) < 2:
         print(__doc__)
         return 2
     runs = []
     for path in sys.argv[1:]:
-        found = load_runs(path)
+        found = load_attribution_runs(path, on_error="warn")
         if not found:
             print(f"{path}: no run.finished events")
         runs.extend(found)

@@ -29,7 +29,7 @@ from repro import workloads
 from repro.cache.hints import pc_loop_depths
 from repro.cache.policy import POLICY_NAMES
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine import run_program
 
@@ -45,7 +45,7 @@ def characterize(benchmark: str, scale: float,
         trace_cache=dataclasses.replace(config.trace_cache,
                                         policy=policy),
         hierarchy=dataclasses.replace(config.hierarchy, policy=policy))
-    model = PipelineModel(config)
+    model = Engine(config)
     result = model.run(trace, benchmark=benchmark, label=policy,
                        program=program)
     tc = model.trace_cache
